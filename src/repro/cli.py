@@ -79,6 +79,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -125,6 +126,20 @@ def _write_html(path, label: str, writer, out) -> None:
     out.write(f"wrote {label} to {path}\n")
 
 
+def _element_count(text: str) -> int:
+    """argparse type for ``--n``: a positive whole number of elements,
+    written plainly or paper-style (``5e9``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an element count, got {text!r}") from None
+    if not (math.isfinite(value) and value.is_integer() and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"element count must be a positive whole number, got {text!r}")
+    return int(value)
+
+
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     """Options shared by the default run mode and `metrics`."""
     p.add_argument("--platform", default="PLATFORM1",
@@ -132,7 +147,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gpus", type=int, default=1, help="GPUs to use")
     p.add_argument("--approach", default="pipemerge",
                    choices=Approach.ALL)
-    p.add_argument("--n", type=float, default=None,
+    p.add_argument("--n", type=_element_count, default=None,
                    help="timing-only input size (e.g. 5e9)")
     p.add_argument("--functional", type=int, default=None, metavar="N",
                    help="really sort N random doubles and validate")
@@ -661,7 +676,7 @@ def build_plan_mem_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpus", type=int, default=1, help="GPUs to use")
     p.add_argument("--approach", default="pipemerge",
                    choices=Approach.ALL)
-    p.add_argument("--n", type=float, required=True,
+    p.add_argument("--n", type=_element_count, required=True,
                    help="input size to plan for (e.g. 5e9)")
     p.add_argument("--batch-size", type=float, default=None,
                    help="b_s elements per batch (default: maximal)")

@@ -1,18 +1,18 @@
 """Pluggable per-link bandwidth-allocation policies.
 
-:mod:`repro.sim.bandwidth` historically implemented exactly one sharing
-discipline: pure processor-sharing (every flow crossing a bottleneck gets
-an equal rate, i.e. max-min fairness with unit weights).  The multi-tenant
-service needs per-tenant QoS, so the discipline becomes a per-link
-*policy* drawn from a small allocator family modeled after psim's
-``BandwidthAllocator`` hierarchy:
+The default sharing discipline of :mod:`repro.sim.bandwidth` is pure
+processor-sharing (every flow crossing a bottleneck gets an equal rate,
+i.e. max-min fairness with unit weights).  The multi-tenant service needs
+per-tenant QoS, so the discipline is a per-link *policy* drawn from a
+small allocator family modeled after psim's ``BandwidthAllocator``
+hierarchy:
 
 :class:`FairShare`
-    The historical behaviour, **bit-identical**: flow priorities and
-    shares are ignored and the network runs the exact pre-existing
-    water-filling code path (including the incremental component refill
-    and the cap-load fast path).  This is the default policy of every
-    link (``policy is None`` means FairShare).
+    Pure processor-sharing: flow priorities and shares are ignored.  A
+    FairShare component takes the network's cap-load fast path when it
+    applies, else one unweighted :func:`_fill_layer` with every link's
+    budget at full capacity.  This is the default policy of every link
+    (``policy is None`` means FairShare).
 :class:`MaxMinFair`
     Weighted max-min fairness: progressive filling where each flow's rate
     rises proportionally to its ``share`` weight, so a tenant with share
@@ -88,8 +88,9 @@ class BandwidthAllocator:
         flow ``priority`` classes matter on this link (the component is
         filled top priority first).
 
-    A policy with neither flag set (FairShare) keeps the component on the
-    bit-identical historical code path.
+    A policy with neither flag set (FairShare) leaves the component to
+    ``FlowNetwork._fill``: the cap-load fast path, else an unweighted
+    :func:`_fill_layer` at full link capacity.
     """
 
     name: str = "base"
@@ -107,11 +108,12 @@ class BandwidthAllocator:
 
 
 class FairShare(BandwidthAllocator):
-    """Pure processor-sharing -- the historical discipline, bit-identical.
+    """Pure processor-sharing (unit-weight max-min fairness).
 
-    Ignores both flow priorities and shares; a link with this policy (or
-    with no policy at all) participates in the exact pre-existing
-    water-filling code path.
+    Ignores both flow priorities and shares; a component whose links all
+    carry this policy (or no policy at all) takes the cap-load fast path
+    in ``FlowNetwork._fill``, else the shared :func:`_fill_layer`
+    unweighted, with every link's budget at full capacity.
     """
 
     name = "fair-share"
@@ -219,16 +221,20 @@ def make_allocator(name: str,
     return cls()
 
 
-# -- the generalised fill -----------------------------------------------------
+# -- progressive filling -----------------------------------------------------
 
 def _fill_layer(flows: list, links: list, weighted: bool) -> None:
-    """Weighted progressive filling of one priority layer.
+    """Progressive filling of one priority layer -- the simulator's one
+    filling loop.
 
-    Mirrors the historical slow path of ``FlowNetwork._fill`` with two
-    generalisations: per-flow weights (a flow's payload rate rises by
-    ``delta * share`` per round, consuming ``delta * share * link_weight``
-    on each link) and per-link *budgets* (``link._budget``, set by the
-    caller from the link policies) instead of raw capacity headroom.
+    All unfrozen flows' rates rise together until a flow reaches its cap
+    or a link exhausts its *budget* (``link._budget``, set by the caller:
+    full capacity for FairShare components, the policy's per-layer share
+    otherwise); affected flows freeze; repeat.  With ``weighted`` a
+    flow's payload rate rises by ``delta * share`` per round, consuming
+    ``delta * share * link_weight`` on each link; unweighted, every
+    share is taken as exactly 1.0.  ``link._left`` tracks the same
+    consumption against raw capacity (the headroom later layers see).
 
     Flows crossing a link whose budget is already exhausted are frozen at
     exactly rate 0 before any round runs -- that exactness is the
@@ -278,7 +284,8 @@ def _fill_layer(flows: list, links: list, weighted: bool) -> None:
         still = []
         for f in unfrozen:
             if f.rate >= f.cap - _EPS_RATE:
-                # Snap-to-cap, exactly as the historical fill.
+                # Snap: a cap-frozen flow runs at its cap *exactly*,
+                # not at cap - (accumulated round-off of the deltas).
                 f.rate = f.cap
                 continue
             saturated = False
@@ -299,8 +306,8 @@ def fill_component(flows: list, links: list) -> None:
 
     Called by ``FlowNetwork._fill`` only when at least one link carries a
     weighted or layered policy; pure-FairShare components never reach
-    this function.  Like the historical fill, this is a pure function of
-    the component's flows (insertion order) and links, so incremental and
+    this function.  Like every fill, this is a pure function of the
+    component's flows (insertion order) and links, so incremental and
     from-scratch recomputes stay bit-identical.
     """
     weighted = False

@@ -32,7 +32,7 @@ contract:
   repo's machine models, where every primitive is capped);
 * *snap-to-cap*: a flow frozen because it reached its cap gets ``rate =
   cap`` exactly rather than ``cap - O(eps)`` of accumulated deltas, which
-  keeps the fast and slow paths bit-identical.
+  keeps the fast path and the filling rounds bit-identical.
 
 This is the standard fluid approximation used in network simulators; the
 paper's phenomena that it captures directly:
@@ -69,8 +69,9 @@ class Link:
 
     :attr:`policy` selects the link's sharing discipline from the
     :mod:`repro.sim.allocators` family.  ``None`` (the default) means
-    :class:`~repro.sim.allocators.FairShare` -- pure processor-sharing on
-    the historical, bit-identical code path.
+    :class:`~repro.sim.allocators.FairShare` -- pure processor-sharing:
+    the cap-load fast path, else the shared unweighted
+    :func:`~repro.sim.allocators._fill_layer`.
     """
 
     __slots__ = ("name", "capacity", "policy", "_busy_byte_time",
@@ -82,14 +83,14 @@ class Link:
             raise SimulationError(f"link {name!r} capacity must be > 0")
         self.name = name
         self.capacity = float(capacity)
-        #: Per-link allocation policy (None = FairShare, bit-identical).
+        #: Per-link allocation policy (None = FairShare).
         self.policy: _alloc.BandwidthAllocator | None = None
         self._busy_byte_time = 0.0   # integral of allocated rate over time
         self._last_update = 0.0
         self._current_rate = 0.0
         # Scratch registers for the progressive-filling rounds (headroom
         # left / weight sum of unfrozen flows / per-layer budget); valid
-        # only inside _fill() and allocators.fill_component().
+        # only inside _fill() and the allocators' fill routines.
         self._left = 0.0
         self._wsum = 0.0
         self._budget = 0.0
@@ -499,11 +500,11 @@ class FlowNetwork:
         rests on that purity.
 
         Components whose links all run the default FairShare discipline
-        (``policy is None`` or an unweighted, unlayered policy) take the
-        historical max-min progressive-filling path below, bit-identical
-        to the pre-allocator-family code; any weighted or layered policy
-        routes the component to
-        :func:`repro.sim.allocators.fill_component`.
+        (``policy is None`` or an unweighted, unlayered policy) try the
+        cap-load fast path, then fall back to one unweighted
+        :func:`repro.sim.allocators._fill_layer` with every link's budget
+        at full capacity; any weighted or layered policy routes the
+        component to :func:`repro.sim.allocators.fill_component`.
         """
         if not flows:
             return
@@ -528,8 +529,8 @@ class FlowNetwork:
         if all_capped:
             # Fast path: if the summed cap-load leaves headroom on every
             # link, no link can freeze anybody and every rate is exactly
-            # its cap (identical to what the rounds below would produce,
-            # thanks to snap-to-cap).
+            # its cap (identical to what the filling rounds would
+            # produce, thanks to snap-to-cap).
             for l in links:
                 l._left = l.capacity
             for f in flows:
@@ -540,56 +541,9 @@ class FlowNetwork:
                     f.rate = f.cap
                 return
 
-        # Slow path: progressive filling rounds.
-        for f in flows:
-            f.rate = 0.0
         for l in links:
-            l._left = l.capacity
-        unfrozen = flows
-        while unfrozen:
-            delta = _INF
-            for f in unfrozen:
-                d = f.cap - f.rate
-                if d < delta:
-                    delta = d
-            # Weighted progressive filling: raising every unfrozen flow's
-            # payload rate by d consumes d * sum(weights) on each link.
-            for l in links:
-                l._wsum = 0.0
-            for f in unfrozen:
-                for l, w in f.links:
-                    l._wsum += w
-            for l in links:
-                if l._wsum > 0.0:
-                    d = l._left / l._wsum
-                    if d < delta:
-                        delta = d
-            if delta < 0:
-                delta = 0.0
-            if delta == _INF:  # pragma: no cover - guarded at transfer()
-                raise SimulationError("unbounded flow rate")
-            for f in unfrozen:
-                f.rate += delta
-                for l, w in f.links:
-                    l._left -= delta * w
-            still = []
-            for f in unfrozen:
-                if f.rate >= f.cap - _EPS_RATE:
-                    # Snap: a cap-frozen flow runs at its cap *exactly*,
-                    # not at cap - (accumulated round-off of the deltas).
-                    f.rate = f.cap
-                    continue
-                saturated = False
-                for l, _w in f.links:
-                    if l._left <= _EPS_RATE * l.capacity:
-                        saturated = True
-                        break
-                if saturated:
-                    continue  # frozen by a saturated link
-                still.append(f)
-            if len(still) == len(unfrozen):  # pragma: no cover - defensive
-                break
-            unfrozen = still
+            l._left = l._budget = l.capacity
+        _alloc._fill_layer(flows, links, False)
 
     def _update(self, seed_flows: _t.Sequence[Flow] = (),
                 seed_links: _t.Sequence[Link] = ()) -> None:

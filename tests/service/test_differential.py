@@ -12,6 +12,7 @@ contract to mid-stream fault plans.
 import pytest
 
 from repro.errors import ReproError
+from repro.hw.platforms import PLATFORM2
 from repro.obs.flows import verify_rate_integral
 from repro.service import ServiceConfig, Tenant, run_service
 from repro.sim.allocators import ALLOCATORS
@@ -120,3 +121,20 @@ def test_chaos_mid_stream_never_silently_wrong(fault_seed, allocator):
     assert {r["job_id"]: r["digest"] for r in res.jobs} == clean_digests
     if res.meta.get("faults"):
         assert res.meta["faults"]["fired"] >= 1
+
+
+@pytest.mark.parametrize("functional", [False, True],
+                         ids=["timing", "functional"])
+def test_platform2_jobs_on_the_second_gpu(functional):
+    """Single-GPU jobs placed on PLATFORM2's gpu1 run through a job view
+    that numbers the device 0; copies must still be accepted and the
+    memory ledger must charge the physical pool ``gpu1``."""
+    tenants = (Tenant("a", rate_hz=40.0, n_jobs=2, n_elements=60_000),
+               Tenant("b", rate_hz=40.0, n_jobs=2, n_elements=60_000))
+    res = run_service(tenants, _cfg("fair-share", functional=functional,
+                                    gpus_per_job=1),
+                      platform=PLATFORM2)
+    assert res.verdict["n_jobs"] == 4
+    assert any(r["gpus"] == [1] for r in res.jobs)
+    res.memory_ledger.check_balanced()
+    assert res.memory_ledger.peaks.get("gpu1", 0) > 0

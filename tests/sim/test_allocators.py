@@ -9,7 +9,8 @@ Pins the contracts the multi-tenant service relies on:
   float) extends to weighted/layered policies;
 - FairShare bit-identity: installing an explicit :class:`FairShare`
   policy is indistinguishable -- snapshot for snapshot -- from the
-  historical no-policy network on arbitrary operation sequences;
+  no-policy network on arbitrary operation sequences, and so is
+  :class:`MaxMinFair` with every share at 1.0 (one filling loop);
 - work conservation (fair-share / max-min): an oversubscribed link is
   completely used;
 - strict-priority starvation ordering: a saturating higher class leaves
@@ -174,43 +175,57 @@ def test_incremental_equals_full_under_policies(ops, policies, caps):
 
 # -- property: FairShare is bit-identical to no policy at all ----------------
 
+def _replay(ops, caps, policies, **transfer_kw):
+    """Drive ``ops`` through a fresh network; return every snapshot."""
+    env, net, links = _net(caps, policies)
+    snaps = []
+
+    def driver():
+        pending = []
+        for kind, size, subset, weight, cap, dt in ops:
+            if kind == "join":
+                kw = {} if cap is None else {"cap": cap}
+                pending.append(net.transfer(
+                    size * 10.0,
+                    [(links[i], weight) for i in subset], **kw,
+                    **transfer_kw))
+            elif kind == "setcap":
+                link = links[subset[0]]
+                net.set_capacity(
+                    link, max(link.capacity * size * 0.1, 1e-3))
+            snaps.append((env.now, _snapshot(net)))
+            if dt > 0.0:
+                yield env.timeout(dt)
+        for link, cap0 in zip(links, caps):
+            net.set_capacity(link, cap0)
+        for ev in pending:
+            if ev.callbacks is not None:
+                yield ev
+            snaps.append((env.now, _snapshot(net)))
+
+    proc = env.process(driver(), name="driver")
+    env.run(proc)
+    snaps.append((env.now, _snapshot(net)))
+    return snaps
+
+
 @given(ops=op_lists,
        caps=st.tuples(*[st.floats(min_value=2.0, max_value=200.0)] * 3))
 @settings(max_examples=60, deadline=None)
 def test_fair_share_policy_is_bit_identical(ops, caps):
-    def run(explicit: bool):
-        env, net, links = _net(
-            caps, ["fair-share"] * 3 if explicit else None)
-        snaps = []
+    assert (_replay(ops, caps, ["fair-share"] * 3)
+            == _replay(ops, caps, None))
 
-        def driver():
-            pending = []
-            for kind, size, subset, weight, cap, dt in ops:
-                if kind == "join":
-                    kw = {} if cap is None else {"cap": cap}
-                    pending.append(net.transfer(
-                        size * 10.0,
-                        [(links[i], weight) for i in subset], **kw))
-                elif kind == "setcap":
-                    link = links[subset[0]]
-                    net.set_capacity(
-                        link, max(link.capacity * size * 0.1, 1e-3))
-                snaps.append((env.now, _snapshot(net)))
-                if dt > 0.0:
-                    yield env.timeout(dt)
-            for link, cap0 in zip(links, caps):
-                net.set_capacity(link, cap0)
-            for ev in pending:
-                if ev.callbacks is not None:
-                    yield ev
-                snaps.append((env.now, _snapshot(net)))
 
-        proc = env.process(driver(), name="driver")
-        env.run(proc)
-        snaps.append((env.now, _snapshot(net)))
-        return snaps
-
-    assert run(explicit=True) == run(explicit=False)
+@given(ops=op_lists,
+       caps=st.tuples(*[st.floats(min_value=2.0, max_value=200.0)] * 3))
+@settings(max_examples=60, deadline=None)
+def test_unit_share_max_min_is_bit_identical_to_fair_share(ops, caps):
+    """FairShare and weighted max-min share one filling loop: with every
+    share at 1.0, max-min (which never takes the cap-load fast path)
+    reproduces the no-policy network snapshot for snapshot."""
+    assert (_replay(ops, caps, ["max-min"] * 3, share=1.0)
+            == _replay(ops, caps, None, share=1.0))
 
 
 # -- work conservation -------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Hypothesis battery: deterministic FIFO tie-breaking across schedulers.
+"""Hypothesis battery: deterministic FIFO tie-breaking in the scheduler.
 
 The engine's total event order is ``(when, priority, seq)`` -- among
 events landing at the same instant with the same priority, insertion
-order wins.  Both future-queue implementations (binary heap and
-calendar queue) must realise that order exactly, through collisions,
-URGENT/NORMAL mixes, nested same-instant scheduling, and lazy
-cancellation.  Delays are drawn from a coarse quantised grid precisely
-to force many timestamp collisions.
+order wins.  The scheduler (same-instant deques plus the future heap)
+must realise that order exactly, through collisions, URGENT/NORMAL
+mixes, nested same-instant scheduling, and lazy cancellation.  Delays
+are drawn from a coarse quantised grid precisely to force many
+timestamp collisions.
 """
 
 from hypothesis import given, settings
@@ -39,8 +39,8 @@ def _trigger(env, when, priority):
     return ev
 
 
-def _run(scheduler, plan):
-    env = Environment(scheduler=scheduler)
+def _run(plan):
+    env = Environment()
     fired = []
 
     def make_cb(tag, depth, priority):
@@ -65,13 +65,10 @@ def _run(scheduler, plan):
 
 @given(plan=entries)
 @settings(max_examples=120, deadline=None)
-def test_firing_order_identical_across_schedulers(plan):
-    heap, n_heap = _run("heap", plan)
-    cal, n_cal = _run("calendar", plan)
-    assert heap == cal
-    assert n_heap == n_cal
-    # Sanity: the order really is time-sorted.
-    times = [t for _, t in heap]
+def test_firing_order_is_time_sorted(plan):
+    fired, processed = _run(plan)
+    assert processed == len(fired)
+    times = [t for _, t in fired]
     assert times == sorted(times)
 
 
@@ -79,33 +76,31 @@ def test_firing_order_identical_across_schedulers(plan):
 @settings(max_examples=60, deadline=None)
 def test_same_instant_fifo_is_insertion_order(plan):
     """Among root events with equal (when, priority), firing order is
-    exactly seeding order -- on both schedulers."""
-    for scheduler in ("heap", "calendar"):
-        fired, _ = _run(scheduler, plan)
-        root = [tag for tag, _ in fired if "." not in tag]
-        # Reconstruct the expected order: cancelled events never fire;
-        # survivors sort by (when, priority, seed index).
-        alive = {}
-        prev_i = None
-        for i, (q, priority, spawn, cancel_prev) in enumerate(plan):
-            if cancel_prev and prev_i is not None:
-                alive.pop(prev_i, None)
-            alive[i] = (0.25 * q, priority)
-            prev_i = i
-        expected = [f"e{i}" for i, _ in
-                    sorted(alive.items(), key=lambda kv: (kv[1], kv[0]))]
-        assert root == expected
+    exactly seeding order."""
+    fired, _ = _run(plan)
+    root = [tag for tag, _ in fired if "." not in tag]
+    # Reconstruct the expected order: cancelled events never fire;
+    # survivors sort by (when, priority, seed index).
+    alive = {}
+    prev_i = None
+    for i, (q, priority, spawn, cancel_prev) in enumerate(plan):
+        if cancel_prev and prev_i is not None:
+            alive.pop(prev_i, None)
+        alive[i] = (0.25 * q, priority)
+        prev_i = i
+    expected = [f"e{i}" for i, _ in
+                sorted(alive.items(), key=lambda kv: (kv[1], kv[0]))]
+    assert root == expected
 
 
 def test_cancelled_events_never_fire_and_queue_drains():
-    for scheduler in ("heap", "calendar"):
-        env = Environment(scheduler=scheduler)
-        fired = []
-        keep = _trigger(env, 1.0, NORMAL)
-        keep.callbacks.append(lambda e: fired.append("keep"))
-        drop = _trigger(env, 1.0, NORMAL)
-        drop.callbacks.append(lambda e: fired.append("drop"))
-        env.unschedule(drop)
-        env.run()
-        assert fired == ["keep"]
-        assert env.peek() == float("inf")
+    env = Environment()
+    fired = []
+    keep = _trigger(env, 1.0, NORMAL)
+    keep.callbacks.append(lambda e: fired.append("keep"))
+    drop = _trigger(env, 1.0, NORMAL)
+    drop.callbacks.append(lambda e: fired.append("drop"))
+    env.unschedule(drop)
+    env.run()
+    assert fired == ["keep"]
+    assert env.peek() == float("inf")

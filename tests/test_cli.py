@@ -72,6 +72,22 @@ def test_bad_approach_rejected():
         main(["--n", "1e6", "--approach", "bogosort"])
 
 
+@pytest.mark.parametrize("argv", [["--n"], ["plan-mem", "--n"]],
+                         ids=["run", "plan-mem"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1.5"])
+def test_bad_element_count_rejected(argv, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert "--n" in err[-1] and value in err[-1]
+
+
+def test_paper_style_element_count_accepted():
+    assert build_parser().parse_args(["--n", "5e9"]).n == 5_000_000_000
+
+
 def test_parser_defaults_match_paper():
     args = build_parser().parse_args(["--n", "1e9"])
     assert args.streams == 2
