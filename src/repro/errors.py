@@ -89,6 +89,11 @@ class AccountingError(ReproError):
     the serial Sec. IV-E component accounting on an overlapped run)."""
 
 
+class ReportError(ReproError):
+    """A run report (the ``--report`` JSON) cannot be read or is not
+    valid JSON."""
+
+
 class LedgerError(ReproError):
     """A sweep ledger file is malformed or has an unknown schema."""
 

@@ -235,11 +235,15 @@ def manifest_path(path) -> str:
 
 
 def load_archive(path) -> list[dict]:
-    """Read archive entries back; raises :class:`ArchiveError` on
-    malformed lines or unknown schemas (integrity hashes are checked by
-    :func:`validate_archive`, not here)."""
+    """Read archive entries back; raises :class:`ArchiveError` on an
+    unreadable file, malformed lines or unknown schemas (integrity
+    hashes are checked by :func:`validate_archive`, not here)."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ArchiveError(f"cannot read archive: {exc}") from exc
     entries = []
-    with open(path) as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

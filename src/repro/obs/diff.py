@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import typing as _t
 
+from repro.errors import ReportError
 from repro.obs.causal import SpanGraph, critical_path_report
 from repro.obs.metrics import interval_length as _interval_length
 from repro.obs.metrics import merge_intervals as _merge_intervals
@@ -123,8 +124,15 @@ def write_report(report: dict, path) -> None:
 
 
 def load_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """Read a run report back; raises :class:`~repro.errors.ReportError`
+    when the file cannot be read or is not valid JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ReportError(f"cannot read report: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ReportError(f"report {path} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

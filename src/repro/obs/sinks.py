@@ -79,11 +79,16 @@ class JsonlSink(Sink):
 
 def read_events(path) -> tuple[dict, list[TelemetryEvent]]:
     """Read a ``repro.events/v1`` JSONL log; returns ``(header,
-    events)``.  Raises :class:`~repro.errors.EventLogError` on a missing
-    or foreign schema header or unparsable lines."""
+    events)``.  Raises :class:`~repro.errors.EventLogError` on an
+    unreadable file, a missing or foreign schema header or unparsable
+    lines."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise EventLogError(f"cannot read event log: {exc}") from exc
     header: dict | None = None
     events: list[TelemetryEvent] = []
-    with open(path) as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -92,21 +97,25 @@ def read_events(path) -> tuple[dict, list[TelemetryEvent]]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise EventLogError(
-                    f"{path}:{lineno}: not valid JSON ({exc})") from exc
+                    f"invalid event log {path}:{lineno}: not valid JSON "
+                    f"({exc})") from exc
             if header is None:
                 if doc.get("schema") != EVENTS_SCHEMA:
                     raise EventLogError(
-                        f"{path}:{lineno}: unknown event-log schema "
-                        f"{doc.get('schema')!r} (expected {EVENTS_SCHEMA})")
+                        f"invalid event log {path}:{lineno}: unknown "
+                        f"event-log schema {doc.get('schema')!r} "
+                        f"(expected {EVENTS_SCHEMA})")
                 header = doc
                 continue
             try:
                 events.append(TelemetryEvent.from_dict(doc))
             except KeyError as exc:
                 raise EventLogError(
-                    f"{path}:{lineno}: event line missing {exc}") from exc
+                    f"invalid event log {path}:{lineno}: event line "
+                    f"missing {exc}") from exc
     if header is None:
-        raise EventLogError(f"{path}: empty event log (no schema header)")
+        raise EventLogError(
+            f"invalid event log {path}: empty (no schema header)")
     return header, events
 
 

@@ -211,11 +211,15 @@ def write_ledger(records: _t.Sequence[dict], path) -> None:
 
 
 def load_ledger(path) -> list[dict]:
-    """Read a JSONL ledger back; raises :class:`LedgerError` on
-    malformed lines or unknown schemas."""
+    """Read a JSONL ledger back; raises :class:`LedgerError` on an
+    unreadable file, malformed lines or unknown schemas."""
     import json
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise LedgerError(f"cannot load ledger: {exc}") from exc
     records = []
-    with open(path) as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -72,8 +72,18 @@ def test_bad_approach_rejected():
         main(["--n", "1e6", "--approach", "bogosort"])
 
 
-@pytest.mark.parametrize("argv", [["--n"], ["plan-mem", "--n"]],
-                         ids=["run", "plan-mem"])
+@pytest.mark.parametrize("argv", [
+    ["--n"], ["plan-mem", "--n"],
+    ["--functional"], ["--n", "1e6", "--batch-size"],
+    ["--n", "1e6", "--pinned"], ["metrics", "--functional"],
+    ["chaos", "--functional"], ["chaos", "--batch-size"],
+    ["chaos", "--pinned"], ["plan-mem", "--n", "1e6", "--batch-size"],
+    ["plan-mem", "--n", "1e6", "--pinned"], ["serve", "--batch-size"],
+    ["serve", "--pinned"],
+], ids=["run", "plan-mem", "run-functional", "run-batch-size",
+        "run-pinned", "metrics-functional", "chaos-functional",
+        "chaos-batch-size", "chaos-pinned", "plan-mem-batch-size",
+        "plan-mem-pinned", "serve-batch-size", "serve-pinned"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1.5"])
 def test_bad_element_count_rejected(argv, value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -81,7 +91,8 @@ def test_bad_element_count_rejected(argv, value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if "error:" in line] == [err[-1]]
-    assert "--n" in err[-1] and value in err[-1]
+    assert argv[-1] in err[-1] and value in err[-1]
+
 
 
 def test_paper_style_element_count_accepted():
@@ -256,6 +267,51 @@ def test_conformance_missing_ledger():
     assert code != 0
     assert len(text.strip().splitlines()) == 1
     assert "cannot load ledger" in text
+
+
+#: Inputs that used to end in a raw traceback (exit 1).  Values the
+#: boundary rejects print one ``repro <cmd>: ...`` line on ``out``;
+#: values argparse rejects print usage plus one ``error:`` line on
+#: stderr.  Either way: exit 2, one message line, no traceback.
+BAD_INVOCATIONS = [
+    ["--n", "1e6", "--gpus", "3"],
+    ["--n", "1e6", "--platform", "NOPE"],
+    ["--n", "1e6", "--streams", "0"],
+    ["--n", "1e6", "--pinned", "0"],
+    ["--n", "1e6", "--pinned", "nan"],
+    ["--n", "1e6", "--batch-size", "-5"],
+    ["--n", "1e6", "--batch-size", "inf"],
+    ["--functional", "0"],
+    ["--functional", "-3"],
+    ["metrics", "--n", "1e6", "--gpus", "3"],
+    ["metrics", "--n", "1e6", "--faults", "/nonexistent.json"],
+    ["critical-path", "--n", "1e6", "--faults", "/nonexistent/plan.json"],
+    ["whatif", "--n", "1e6", "--faults", "/nonexistent/plan.json"],
+    ["mem", "--n", "1e6", "--gpus", "2"],
+    ["mem", "--n", "1e6", "--platform", "NOPE"],
+    ["flows", "--n", "1e6", "--streams", "0"],
+    ["flows", "--n", "1e6", "--pinned", "1.5"],
+    ["serve", "--batch-size", "-5"],
+    ["plan-mem", "--n", "1e6", "--batch-size", "inf"],
+    ["plan-mem", "--n", "1e6", "--platform", "NOPE"],
+    ["serve", "--timing", "--platform", "NOPE"],
+    ["chaos", "--fault-seed", "1", "--platform", "NOPE"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INVOCATIONS, ids=" ".join)
+def test_rejected_input_is_one_line_exit_2(argv, capsys):
+    out = io.StringIO()
+    try:
+        code = main(argv, out=out)
+    except SystemExit as exc:
+        code = exc.code
+    text, err = out.getvalue(), capsys.readouterr().err
+    assert code == 2
+    lines = text.splitlines() + [ln for ln in err.splitlines()
+                                 if "error:" in ln]
+    assert len(lines) == 1
+    assert "Traceback" not in text + err
 
 
 def test_sweep_unknown_grid_rejected():
@@ -462,23 +518,25 @@ def test_trends_missing_archive_exits_2(tmp_path):
 
 
 def test_unwritable_output_is_a_clean_error(tmp_path):
-    """Writing through an existing file must raise a one-line
-    SystemExit, not an OSError traceback (ENOTDIR works even as
-    root, unlike permission bits)."""
+    """Writing through an existing file must exit 2 with a one-line
+    message, not an OSError traceback (ENOTDIR works even as root,
+    unlike permission bits)."""
     blocker = tmp_path / "blocker"
     blocker.write_text("i am a file")
     bad = str(blocker / "sub" / "out.jsonl")
-    with pytest.raises(SystemExit) as exc:
-        run_cli("--n", "1e9", "--batch-size", "2.5e8",
-                "--archive", bad)
-    msg = str(exc.value)
-    assert msg.startswith("repro: cannot write archive to")
-    assert "Traceback" not in msg
+    code, text = run_cli("--n", "1e9", "--batch-size", "2.5e8",
+                         "--archive", bad)
+    assert code == 2
+    errors = [ln for ln in text.splitlines() if ln.startswith("repro:")]
+    assert errors == [text.splitlines()[-1]]
+    assert errors[0].startswith("repro: cannot write archive to")
+    assert "Traceback" not in text
 
-    with pytest.raises(SystemExit) as exc:
-        run_cli("--n", "1e9", "--batch-size", "2.5e8",
-                "--report", str(blocker / "r.json"))
-    assert str(exc.value).startswith("repro: cannot write run report")
+    code, text = run_cli("--n", "1e9", "--batch-size", "2.5e8",
+                         "--report", str(blocker / "r.json"))
+    assert code == 2
+    assert text.splitlines()[-1].startswith(
+        "repro: cannot write run report")
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +640,22 @@ def test_plan_mem_json_document():
     assert doc["predicted"]["gpu0"] == 16_000_000
     assert doc["conformance"]["ok"] is True
     assert doc["conformance"]["schema"] == "repro.memory_conformance/v1"
+
+
+def test_metrics_applies_fault_plan(tmp_path):
+    from repro.sim.faults import FaultPlan
+    plan = tmp_path / "plan.json"
+    FaultPlan.random(17).save(plan)
+    args = ("metrics", "--functional", "100000", "--batch-size", "25000",
+            "--pinned", "1e4")
+    code, clean = run_cli(*args)
+    assert code == 0
+    code, faulted = run_cli(*args, "--faults", str(plan))
+    assert code == 0
+    assert "Retry=" not in clean
+    assert "Retry=" in faulted
+    assert run_cli(*args, "--json")[1] != \
+        run_cli(*args, "--json", "--faults", str(plan))[1]
 
 
 def test_metrics_json_carries_engine_counters():
