@@ -12,9 +12,9 @@ composition shifts).
 Because everything in a report is a pure function of the deterministic
 trace, a same-seed run diffed against itself is exactly zero -- the
 property ``repro diff`` and the CI regression gate rely on:
-``benchmarks/regression_gate.py`` re-runs pinned scenarios, diffs them
-against ``benchmarks/results/baseline.json`` and fails on makespan
-regressions beyond tolerance.
+``benchmarks/gates.py regression`` re-runs pinned scenarios, applies
+:func:`check_regression` against ``benchmarks/results/baseline.json``
+and fails on makespan growth beyond 2 % or any structural change.
 """
 
 from __future__ import annotations
