@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -777,7 +776,7 @@ def _run_critical_path(argv, out) -> int:
     graph = res.causal_graph()
     report = critical_path_report(graph)
     if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        out.write(canonical_json(report) + "\n")
         _maybe_write_trace(args, res, out)
         return 0
     out.write(res.summary() + "\n\n")
@@ -835,7 +834,7 @@ def _run_whatif(argv, out) -> int:
     if scale:
         report = whatif_report(graph, scale)
         if args.json:
-            out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            out.write(canonical_json(report) + "\n")
             return 0
         out.write(res.summary() + "\n\n")
         # One combined prediction row labelled with every scaled category.
@@ -850,7 +849,7 @@ def _run_whatif(argv, out) -> int:
         return 0
     report = sensitivity_report(graph)
     if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        out.write(canonical_json(report) + "\n")
         return 0
     out.write(res.summary() + "\n\n")
     rows = [[r["category"], f"{r['factor']:g}",
@@ -1356,7 +1355,7 @@ def _run_diff(argv, out) -> int:
     b = load_report(args.report_b)
     diff = diff_reports(a, b, tolerance=args.tolerance)
     if args.json:
-        out.write(json.dumps(diff, indent=2, sort_keys=True) + "\n")
+        out.write(canonical_json(diff) + "\n")
     else:
         out.write(render_diff(diff, min_rel=args.min_rel) + "\n")
     if args.fail_on_regression and (diff["regression"]

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.hetsort.config import SortConfig
 from repro.hetsort.plan import SortPlan
+from repro.obs.metrics import compute_metrics
 from repro.sim import CAT, Trace
 
 __all__ = ["SortResult"]
@@ -31,10 +32,6 @@ class SortResult:
     trace: Trace
     output: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-    #: Derived observability metrics (see :mod:`repro.obs.metrics`):
-    #: per-lane utilisation, the category-overlap matrix, overlap
-    #: efficiency, link throughput and live counter summaries.
-    metrics: dict = field(default_factory=dict)
     #: The run's :class:`~repro.obs.counters.MetricsRecorder` (full
     #: counter time series, for Perfetto counter-track export).
     recorder: _t.Any = None
@@ -46,6 +43,47 @@ class SortResult:
     #: bandwidth timelines, for ``repro flows`` and the HTML link
     #: panels).
     flow_ledger: _t.Any = None
+    #: Engine events the run processed, taken when the run ended (None
+    #: for runs that report no engine block, e.g. the CPU reference).
+    processed_events: int | None = None
+    _metrics: dict | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    @property
+    def metrics(self) -> dict:
+        """Derived observability metrics (see :mod:`repro.obs.metrics`):
+        per-lane utilisation, the category-overlap matrix, overlap
+        efficiency, link throughput and live counter summaries, plus the
+        ``memory``, ``flows`` and ``engine`` blocks when the run has a
+        memory ledger, a flow ledger and an engine count.
+
+        Built from the run's trace, recorder and ledgers on first read,
+        never inside the sort: the first reader pays for the analyses
+        (the flow summary's contention attribution is the dearest), a
+        caller that reads only ``elapsed`` or the trace pays nothing.
+        Every later read returns the same dict, so keys written into it
+        (``attach_conformance``'s ``"conformance"``) stay."""
+        if self._metrics is None:
+            metrics = compute_metrics(
+                self.trace, elapsed=self.elapsed,
+                counters=(self.recorder.summary(self.elapsed)
+                          if self.recorder is not None else None))
+            if self.memory_ledger is not None:
+                metrics["memory"] = self.memory_ledger.summary()
+            if self.flow_ledger is not None:
+                metrics["flows"] = self.flow_ledger.summary()
+            if self.processed_events is not None:
+                # Engine throughput, in simulated terms only (wall-clock
+                # events per second would break run-to-run metric
+                # determinism).
+                n = self.processed_events
+                metrics["engine"] = {
+                    "processed_events": n,
+                    "events_per_sim_s": (n / self.elapsed
+                                         if self.elapsed > 0 else 0.0),
+                }
+            self._metrics = metrics
+        return self._metrics
 
     # -- component accounting ------------------------------------------------
 

@@ -34,7 +34,6 @@ from repro.kernels.samplesort import sample_sort
 from repro.obs.counters import MetricsRecorder
 from repro.obs.flows import FlowLedger
 from repro.obs.memory import MemoryLedger
-from repro.obs.metrics import compute_metrics
 from repro.sim.engine import Environment
 
 __all__ = ["HeterogeneousSorter", "APPROACH_RUNNERS", "cpu_reference_sort"]
@@ -176,17 +175,6 @@ class HeterogeneousSorter:
         if validate and data is not None:
             check_sorted_permutation(np.asarray(data, dtype=np.float64),
                                      output)
-        metrics = compute_metrics(machine.trace, elapsed=env.now,
-                                  counters=ctx.obs.summary(env.now))
-        metrics["memory"] = machine.memory.summary()
-        metrics["flows"] = machine.net.ledger.summary()
-        # Engine throughput, in simulated terms only (wall-clock events
-        # per second would break run-to-run metric determinism).
-        metrics["engine"] = {
-            "processed_events": env.processed_events,
-            "events_per_sim_s": (env.processed_events / env.now
-                                 if env.now > 0 else 0.0),
-        }
         return SortResult(
             platform_name=self.platform.name,
             approach=cfg.approach,
@@ -196,10 +184,10 @@ class HeterogeneousSorter:
             trace=machine.trace,
             output=output,
             meta=dict(ctx.meta),
-            metrics=metrics,
             recorder=ctx.obs,
             memory_ledger=machine.memory,
             flow_ledger=machine.net.ledger,
+            processed_events=env.processed_events,
         )
 
 
@@ -244,8 +232,5 @@ def cpu_reference_sort(platform: PlatformSpec = PLATFORM1,
         trace=machine.trace,
         output=out.get("output"),
         meta={"threads": threads, "n": n_elems},
-        metrics=compute_metrics(
-            machine.trace, elapsed=env.now,
-            counters=machine.recorder.summary(env.now)),
         recorder=machine.recorder,
     )

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.diff import canonical_json
 
 
 def run_cli(*argv):
@@ -137,6 +138,8 @@ def test_critical_path_json(tmp_path):
     doc = json.loads(text)
     assert doc["schema"] == "repro.critical_path/v1"
     assert doc["duration"] == doc["makespan"]
+    # The one serializer every --json surface shares, byte for byte.
+    assert text == canonical_json(doc) + "\n"
 
 
 def test_whatif_scale():
