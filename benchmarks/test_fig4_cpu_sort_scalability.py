@@ -11,7 +11,6 @@ large n; GNU at 1 thread ~= std::sort.
 
 import pytest
 
-from repro.cpu import get_library
 from repro.hw import PLATFORM1
 from repro.reporting import FigureSeries, render_table
 
@@ -19,29 +18,30 @@ THREADS = [1, 2, 4, 8, 16]
 SIZES = [10 ** 5, 10 ** 7, 10 ** 8, 10 ** 9]
 
 
+def seconds(library, n, threads=1):
+    """Modelled response time of one CPU sort library on PLATFORM1."""
+    return PLATFORM1.sort_model(library).seconds(n, threads)
+
+
 def sweep():
-    gnu = get_library("gnu")
     series = {}
     for n in SIZES:
         s = FigureSeries(f"GNU n={n:.0e}")
         for t in THREADS:
-            s.add(t, gnu.seconds(PLATFORM1, n, t))
+            s.add(t, seconds("gnu", n, t))
         series[n] = s
     return series
 
 
 def test_fig4a_response_time(report, benchmark):
     series = sweep()
-    tbb = get_library("tbb")
-    std = get_library("std")
-    qsort = get_library("qsort")
     rows = []
     for t in THREADS:
         rows.append([t] + [f"{series[n].at(t):.4g}" for n in SIZES]
-                    + [f"{tbb.seconds(PLATFORM1, 10 ** 9, t):.4g}"])
-    rows.append(["std::sort"] + [f"{std.seconds(PLATFORM1, n):.4g}"
+                    + [f"{seconds('tbb', 10 ** 9, t):.4g}"])
+    rows.append(["std::sort"] + [f"{seconds('std', n):.4g}"
                                  for n in SIZES] + ["-"])
-    rows.append(["std::qsort"] + [f"{qsort.seconds(PLATFORM1, n):.4g}"
+    rows.append(["std::qsort"] + [f"{seconds('qsort', n):.4g}"
                                   for n in SIZES] + ["-"])
     report(render_table(
         ["threads"] + [f"GNU n={n:.0e}" for n in SIZES] + ["TBB n=1e9"],
@@ -60,10 +60,10 @@ def test_fig4a_response_time(report, benchmark):
             assert min(ys) < ys[0]          # threading still pays off
             assert ys[-1] < 2 * min(ys)     # ...and never blows up
     # qsort ~ 2x std::sort.
-    assert qsort.seconds(PLATFORM1, 10 ** 8) / \
-        std.seconds(PLATFORM1, 10 ** 8) == pytest.approx(2.0, rel=0.01)
+    assert seconds("qsort", 10 ** 8) / seconds("std", 10 ** 8) == \
+        pytest.approx(2.0, rel=0.01)
     # TBB slower than GNU at n = 1e9 with all threads.
-    assert tbb.seconds(PLATFORM1, 10 ** 9, 16) > series[10 ** 9].at(16)
+    assert seconds("tbb", 10 ** 9, 16) > series[10 ** 9].at(16)
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 

@@ -46,12 +46,21 @@ __all__ = ["Runtime"]
 
 
 class Runtime:
-    """Simulated CUDA runtime bound to one :class:`~repro.hw.machine.Machine`."""
+    """Simulated CUDA runtime bound to one :class:`~repro.hw.machine.Machine`.
 
-    def __init__(self, machine: Machine,
+    ``gpus`` lists the devices this runtime sees (default: all of the
+    machine's), numbered from 0 like ``CUDA_VISIBLE_DEVICES``: device
+    index ``i`` of every call is ``gpus[i]``.  A service job's runtime
+    sees only its assigned devices; the core pool, links, pinned pool
+    and fault hooks stay shared, and faults, the memory ledger and the
+    gauges name the physical device (``SimGPU.index``).
+    """
+
+    def __init__(self, machine: Machine, gpus: _t.Sequence | None = None,
                  sort_kernel: _t.Callable[[np.ndarray], None] | None = None
                  ) -> None:
         self.machine = machine
+        self.gpus = list(machine.gpus if gpus is None else gpus)
         self.env = machine.env
         self.trace = machine.trace
         self._streams: list[Stream] = []
@@ -69,7 +78,7 @@ class Runtime:
 
     @property
     def n_gpus(self) -> int:
-        return len(self.machine.gpus)
+        return len(self.gpus)
 
     def create_stream(self, gpu_index: int = 0) -> Stream:
         """``cudaStreamCreate`` on the given device."""
@@ -111,10 +120,7 @@ class Runtime:
         :func:`repro.hetsort.resilience.retry_call`).
         """
         self._check_gpu(gpu_index)
-        gpu = self.machine.gpus[gpu_index]
-        # Faults, the memory ledger and gauges name the physical device;
-        # gpu_index is local to this runtime's machine (a service job's
-        # view numbers its assigned devices from 0).
+        gpu = self.gpus[gpu_index]
         faults = self.machine.faults
         if faults is not None and faults.on_device_alloc(gpu.index) is not None:
             raise DeviceAllocFault(
@@ -130,7 +136,7 @@ class Runtime:
         """``cudaFree``."""
         if buf.freed:
             raise CudaInvalidValue(f"double free of {buf.name!r}")
-        gpu = self.machine.gpus[buf.gpu_index]
+        gpu = self.gpus[buf.gpu_index]
         gpu.free(buf.nbytes)
         buf.freed = True
         mem = self.machine.memory
@@ -214,7 +220,7 @@ class Runtime:
             raise CudaInvalidValue(
                 "cudaMemcpyAsync requires the host buffer to be pinned "
                 f"(got {src.kind if direction == Direction.HTOD else dst.kind})")
-        if self.machine.gpus[stream.gpu_index] is not gpu:
+        if self.gpus[stream.gpu_index] is not gpu:
             raise CudaInvalidValue(
                 f"stream on gpu{stream.gpu_index} cannot copy to/from "
                 f"gpu{gpu.index}")
@@ -252,7 +258,7 @@ class Runtime:
         buf.check_range(offset, nbytes)
         if buf.gpu_index != stream.gpu_index:
             raise CudaInvalidValue("sort stream is on a different device")
-        gpu = self.machine.gpus[buf.gpu_index]
+        gpu = self.gpus[buf.gpu_index]
         call = self.machine.platform.runtime.kernel_launch_s
         if call > 0:
             yield self.env.timeout(call)
@@ -276,10 +282,10 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def _check_gpu(self, gpu_index: int) -> None:
-        if not 0 <= gpu_index < len(self.machine.gpus):
+        if not 0 <= gpu_index < len(self.gpus):
             raise CudaInvalidValue(
                 f"no such device {gpu_index} "
-                f"(machine has {len(self.machine.gpus)})")
+                f"(runtime sees {len(self.gpus)})")
 
     def _classify(self, dst, src, nbytes, kind, dst_off, src_off):
         """Validate a copy and derive (direction, gpu, pinned)."""
@@ -289,13 +295,13 @@ class Runtime:
             if not isinstance(dst, DeviceBuffer) or isinstance(
                     src, DeviceBuffer):
                 raise CudaInvalidValue("HtoD needs host src and device dst")
-            gpu = self.machine.gpus[dst.gpu_index]
+            gpu = self.gpus[dst.gpu_index]
             return Direction.HTOD, gpu, isinstance(src, PinnedBuffer)
         if kind == MemcpyKind.DEVICE_TO_HOST:
             if not isinstance(src, DeviceBuffer) or isinstance(
                     dst, DeviceBuffer):
                 raise CudaInvalidValue("DtoH needs device src and host dst")
-            gpu = self.machine.gpus[src.gpu_index]
+            gpu = self.gpus[src.gpu_index]
             return Direction.DTOH, gpu, isinstance(dst, PinnedBuffer)
         if kind == MemcpyKind.HOST_TO_HOST:
             if isinstance(dst, DeviceBuffer) or isinstance(src, DeviceBuffer):

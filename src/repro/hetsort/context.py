@@ -13,7 +13,7 @@ approach code moves real data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,9 +91,10 @@ class RunContext:
         #: Live counters/gauges for this run (queue depths, in-flight
         #: transfers, batch progress).  Recording is passive -- it never
         #: schedules events -- so the timeline is identical with or
-        #: without observers reading the series.
+        #: without observers reading the series.  A single sort also
+        #: attaches it to the machine's probes; a service job does not
+        #: (the shared machine's probes are not any one job's).
         self.obs: MetricsRecorder = MetricsRecorder(clock=lambda: env.now)
-        machine.attach_recorder(self.obs)
         self.sorted_runs.probe = self.obs.probe(
             "sorted_runs.pending", lambda store: len(store))
 

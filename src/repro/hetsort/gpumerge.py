@@ -44,7 +44,7 @@ def _gpu_pair_merge(ctx: RunContext, gpu_index: int, first: SortedRun,
                     second: SortedRun, out: SortedRun):
     """Process: merge two sorted runs on a GPU, chunk-streamed both ways."""
     machine = ctx.machine
-    gpu = machine.gpus[gpu_index]
+    gpu = ctx.rt.gpus[gpu_index]
     total = first.size + second.size
     ps = ctx.plan.pinned_elements
     lane = f"gpumerge@gpu{gpu_index}"
@@ -133,7 +133,7 @@ def run_gpumerge(ctx: RunContext):
         # Route each level's pairs over the devices still alive; with
         # every GPU healthy this is the identical round-robin mapping.
         alive = [g for g in range(ctx.plan.n_gpus)
-                 if not ctx.machine.gpus[g].lost]
+                 if not ctx.rt.gpus[g].lost]
         if len(alive) < ctx.plan.n_gpus:
             ctx.degrade("replan", approach="gpumerge", level=level,
                         survivors=alive)

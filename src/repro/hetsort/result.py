@@ -46,6 +46,11 @@ class SortResult:
     #: Engine events the run processed, taken when the run ended (None
     #: for runs that report no engine block, e.g. the CPU reference).
     processed_events: int | None = None
+    #: The run's model-conformance record (predicted vs. measured
+    #: makespan, critical-path residual attribution), set by
+    #: :func:`repro.obs.conformance.attach_conformance` -- sweeps attach
+    #: one to every run.  None otherwise.
+    conformance: dict | None = None
     _metrics: dict | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -61,8 +66,7 @@ class SortResult:
         never inside the sort: the first reader pays for the analyses
         (the flow summary's contention attribution is the dearest), a
         caller that reads only ``elapsed`` or the trace pays nothing.
-        Every later read returns the same dict, so keys written into it
-        (``attach_conformance``'s ``"conformance"``) stay."""
+        Every later read returns the same dict."""
         if self._metrics is None:
             metrics = compute_metrics(
                 self.trace, elapsed=self.elapsed,
@@ -143,14 +147,6 @@ class SortResult:
         :func:`repro.obs.causal.critical_path_report`)."""
         from repro.obs.causal import critical_path_report
         return critical_path_report(self.causal_graph())
-
-    @property
-    def conformance(self) -> dict | None:
-        """The run's model-conformance record (predicted vs. measured
-        makespan, critical-path residual attribution), if
-        :func:`repro.obs.conformance.attach_conformance` has run --
-        sweeps attach one to every run.  None otherwise."""
-        return self.metrics.get("conformance")
 
     @property
     def memory(self) -> dict | None:

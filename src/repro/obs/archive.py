@@ -188,7 +188,7 @@ def entry_from_result(result, *, source: str = "run", label: str = "",
             flows.get("link_peak_utilization", 0.0)
         metrics["transfer_contention_s"] = \
             flows.get("transfer_contention_s", 0.0)
-    conf = result.metrics.get("conformance")
+    conf = result.conformance
     residuals = None
     if conf is not None:
         metrics["model_gap_s"] = conf["gap_s"]

@@ -176,8 +176,9 @@ def conformance_record(report: dict, model: "LowerBoundModel") -> dict:
 def attach_conformance(result, model: "LowerBoundModel",
                        report: dict | None = None) -> dict:
     """Compute a conformance record for a finished
-    :class:`~repro.hetsort.result.SortResult` and export it onto
-    ``result.metrics["conformance"]`` (also returned).
+    :class:`~repro.hetsort.result.SortResult` and set it as
+    ``result.conformance`` (also returned).  Reads only the run report,
+    so it never builds ``result.metrics``.
 
     ``report`` optionally supplies the run report when the caller has
     already built one (building it walks the whole span DAG, so sharing
@@ -188,7 +189,7 @@ def attach_conformance(result, model: "LowerBoundModel",
         from repro.obs.diff import run_report
         report = run_report(result)
     record = conformance_record(report, model)
-    result.metrics["conformance"] = record
+    result.conformance = record
     return record
 
 

@@ -310,9 +310,9 @@ def connect_machine(bus: EventBus, machine) -> None:
 
 def connect_context(bus: EventBus, ctx) -> None:
     """Wire ``bus`` into a :class:`~repro.hetsort.context.RunContext`:
-    the machine (see :func:`connect_machine`), the run's counter
-    recorder, and the sorted-run hand-off queue."""
-    connect_machine(bus, ctx.machine)
+    the run's counter recorder, its phase events and the sorted-run
+    hand-off queue.  The machine underneath is wired separately, by
+    :func:`connect_machine`."""
     ctx.obs.bus = bus
     ctx.sorted_runs.bus = bus
     ctx.bus = bus

@@ -149,7 +149,7 @@ def run_point(pt: dict, sinks: _t.Sequence = ()):
 
 def ledger_record(result, pt: dict, model: "LowerBoundModel") -> dict:
     """One canonical ledger line: point + measurements + report +
-    conformance (also exported onto ``result.metrics``)."""
+    conformance (also set as ``result.conformance``)."""
     run_id = pt.get("run_id") or _run_id(pt)
     report = run_report(result, label=run_id)
     conf = attach_conformance(result, model, report=report)

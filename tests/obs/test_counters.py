@@ -103,3 +103,21 @@ def test_environment_monitor_hook():
     assert ticks[-1] == pytest.approx(3.0)
     env.remove_monitor(env._monitors[0])
     assert not env._monitors
+
+
+def test_single_sort_samples_the_machine_probes():
+    """A single sort's run recorder is attached to its machine, so the
+    core pool, pinned pool, device memory and DMA engines are sampled;
+    a service job's recorder is not (the shared machine is no one job's)."""
+    from repro import HeterogeneousSorter, PLATFORM1
+    from repro.service import ServiceConfig, SortService, Tenant
+    res = HeterogeneousSorter(PLATFORM1, batch_size=250_000,
+                              pinned_elements=50_000).sort(
+        n=1_000_000, approach="pipedata")
+    assert {"cpu.cores.in_use", "host.pinned_bytes", "gpu0.mem_bytes",
+            "pcie.HtoD.inflight"} <= set(res.recorder.series)
+    svc = SortService((Tenant("a", n_jobs=1, n_elements=60_000),),
+                      ServiceConfig(functional=False, batch_size=20_000,
+                                    pinned_elements=5_000))
+    svc.run()
+    assert svc.machine.recorder is None

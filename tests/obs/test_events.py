@@ -102,6 +102,27 @@ def test_sinks_never_perturb_the_run(approach):
     assert verdict["ok"] and not verdict["failures"]
 
 
+def test_sinks_never_perturb_the_service():
+    """The service run is set up like a single sort, sinks included:
+    its verdict and both ledgers are byte-identical with every shipped
+    sink attached or none."""
+    from repro.hw.platforms import PLATFORM2
+    from repro.service import ServiceConfig, Tenant, run_service
+    tenants = (Tenant("gold", priority=2, share=2.0, rate_hz=40.0,
+                      n_jobs=2, n_elements=60_000, slo_s=0.5),
+               Tenant("batch", priority=0, rate_hz=20.0, n_jobs=2,
+                      n_elements=120_000))
+    cfg = ServiceConfig(allocator="fixed-levels", seed=11,
+                        batch_size=20_000, pinned_elements=5_000)
+    bare = run_service(tenants, cfg, platform=PLATFORM2)
+    observed = run_service(tenants, cfg, platform=PLATFORM2,
+                           sinks=all_sinks())
+    assert canonical_json(observed.verdict) == canonical_json(bare.verdict)
+    for ledger in ("flow_ledger", "memory_ledger"):
+        assert canonical_json(getattr(observed, ledger).to_dict()) == \
+            canonical_json(getattr(bare, ledger).to_dict()), ledger
+
+
 def test_functional_output_identical_with_sinks():
     import numpy as np
     rng = np.random.default_rng(3)

@@ -53,8 +53,36 @@ def test_conformance_attached_to_result_metrics():
     res = run_point(pt)
     assert res.conformance is None
     rec = ledger_record(res, pt, model)
-    assert res.metrics["conformance"] is rec["conformance"]
-    assert res.conformance == rec["conformance"]
+    assert res.conformance is rec["conformance"]
+    assert "conformance" not in res.metrics
+
+
+def test_ledger_record_builds_no_metrics(monkeypatch):
+    """A sweep point's ledger line is made from the run report alone:
+    recording it never pays for the lazy metrics build."""
+    import sys
+
+    from repro.hw.platforms import get_platform
+    from repro.model.lowerbound import measure_bline_throughput
+    from repro.obs.metrics import compute_metrics
+    pt = sweep_points("tiny")[0]
+    model = measure_bline_throughput(get_platform(pt["platform"]),
+                                     n_gpus=pt["n_gpus"], n=4_000_000)
+    res = run_point(pt)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return compute_metrics(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("repro") and \
+                getattr(mod, "compute_metrics", None) is compute_metrics:
+            monkeypatch.setattr(mod, "compute_metrics", counted)
+    ledger_record(res, pt, model)
+    assert calls == []
+    res.metrics
+    assert calls == [1]
 
 
 def test_ledger_is_byte_stable(tmp_path):

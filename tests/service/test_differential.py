@@ -16,7 +16,7 @@ from repro.hw.platforms import PLATFORM2
 from repro.obs.flows import verify_rate_integral
 from repro.service import ServiceConfig, Tenant, run_service
 from repro.sim.allocators import ALLOCATORS
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultKind, FaultPlan, FaultSpec
 
 ALLOCATOR_NAMES = sorted(ALLOCATORS)
 
@@ -123,12 +123,42 @@ def test_chaos_mid_stream_never_silently_wrong(fault_seed, allocator):
         assert res.meta["faults"]["fired"] >= 1
 
 
+# -- timed faults reach the service ----------------------------------------
+
+def test_bandwidth_fault_fires_in_the_service(runs):
+    """A ``bandwidth.degrade`` window is scheduled on the service's
+    machine like on a single sort's: it fires and slows the run."""
+    plan = FaultPlan((FaultSpec(kind=FaultKind.BANDWIDTH, link="host_bus",
+                                at_s=0.0, duration_s=1.0, factor=0.1),))
+    res = run_service(TENANTS, _cfg("fair-share"), faults=plan)
+    assert res.meta["faults"]["fired"] >= 1
+    assert res.meta["faults"]["by_kind"] == {FaultKind.BANDWIDTH: 1}
+    assert res.elapsed > runs["fair-share"].elapsed
+
+
+def test_gpu_loss_fires_in_the_service_and_keeps_every_digest():
+    """Losing PLATFORM2's gpu1 mid-stream fires, the jobs placed on it
+    fall back to the CPU, and every job's output is what the fault-free
+    run sorted."""
+    clean = run_service(TENANTS, _cfg("fair-share"), platform=PLATFORM2)
+    plan = FaultPlan((FaultSpec(kind=FaultKind.GPU_LOST, gpu=1,
+                                at_s=0.01),))
+    res = run_service(TENANTS, _cfg("fair-share"), platform=PLATFORM2,
+                      faults=plan)
+    assert res.meta["faults"]["fired"] >= 1
+    assert res.meta["faults"]["by_kind"] == {FaultKind.GPU_LOST: 1}
+    assert {r["job_id"]: r["digest"] for r in res.jobs} == \
+        {r["job_id"]: r["digest"] for r in clean.jobs}
+    assert any(s.lane == "cpu.fallback" for s in res.trace.spans)
+    assert not any(s.lane == "cpu.fallback" for s in clean.trace.spans)
+
+
 @pytest.mark.parametrize("functional", [False, True],
                          ids=["timing", "functional"])
 def test_platform2_jobs_on_the_second_gpu(functional):
-    """Single-GPU jobs placed on PLATFORM2's gpu1 run through a job view
-    that numbers the device 0; copies must still be accepted and the
-    memory ledger must charge the physical pool ``gpu1``."""
+    """Single-GPU jobs placed on PLATFORM2's gpu1 run through a job
+    runtime that numbers the device 0; copies must still be accepted and
+    the memory ledger must charge the physical pool ``gpu1``."""
     tenants = (Tenant("a", rate_hz=40.0, n_jobs=2, n_elements=60_000),
                Tenant("b", rate_hz=40.0, n_jobs=2, n_elements=60_000))
     res = run_service(tenants, _cfg("fair-share", functional=functional,

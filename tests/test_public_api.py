@@ -60,7 +60,6 @@ def test_approach_and_staging_enums():
 
 
 def test_subpackage_imports():
-    import repro.cpu
     import repro.cuda
     import repro.hetsort
     import repro.hw
